@@ -27,7 +27,6 @@ movement rules the paper's contentions emerge from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Sequence, Tuple
 
 from repro.cache.directory import DirectoryEntry, SnoopFilter
@@ -142,6 +141,7 @@ class CacheHierarchy:
         "_llc_nsets",
         "_sf_sets",
         "_sf_nsets",
+        "_uniform_ddio",
         "_batching",
     )
 
@@ -189,6 +189,11 @@ class CacheHierarchy:
         self._llc_nsets = self.llc._nsets
         self._sf_sets = self.sf._sets
         self._sf_nsets = self.sf.sets
+        # The allocating DMA flow batches only under LRU with write-update
+        # on (one recency tick per line, no stale-copy drops).
+        self._uniform_ddio = (
+            self._llc_lru_tick is not None and cfg.ddio_write_update
+        )
         self._batching = batch.enabled()
 
     def set_batching(self, enabled: bool) -> None:
@@ -261,34 +266,27 @@ class CacheHierarchy:
                     llc_line.dirty = False
             if write:
                 # RFO: the MLC takes exclusive ownership; the LLC copy dies.
-                dirty = True
-                io_flag = llc_line.io
                 self._detach_llc_line(llc_line)
                 llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty=dirty, io=io_flag)
+                self._fill_mlc(now, core, addr, stream, True, llc_line.io)
             elif llc_line.io and self._self_invalidate_consumed:
                 # IDIO/Sweeper baseline: the consumed copy self-invalidates.
                 self._detach_llc_line(llc_line)
                 llc.remove(llc_line)
-                self._fill_mlc(now, core, addr, stream, dirty=False, io=True)
+                self._fill_mlc(now, core, addr, stream, False, True)
             elif llc_line.io:
                 # A DMA-written line transitions modified -> shared on its
                 # first CPU read (Wang et al.): the LLC keeps a copy, which
                 # as an LLC-inclusive line must migrate into the inclusive
                 # ways (Yan et al.) — the paper's directory contention.
                 self._make_inclusive(now, llc_line)
-                self._fill_mlc(
-                    now, core, addr, stream, dirty=False, io=True,
-                    llc_line=llc_line,
-                )
+                self._fill_mlc(now, core, addr, stream, False, True, llc_line)
             else:
                 # Regular non-inclusive victim-cache hit: the line transfers
                 # to the reader's MLC and the LLC copy is invalidated.
                 self._detach_llc_line(llc_line)
                 llc.remove(llc_line)
-                self._fill_mlc(
-                    now, core, addr, stream, dirty=llc_line.dirty, io=False
-                )
+                self._fill_mlc(now, core, addr, stream, llc_line.dirty, False)
             return self._llc_hit_cycles
 
         entry = self._sf_sets[addr % self._sf_nsets].get(addr)
@@ -297,20 +295,24 @@ class CacheHierarchy:
             counters.llc_hits += 1
             if write:
                 self._invalidate_peers(now, addr, keep_core=None)
-                self._fill_mlc(now, core, addr, stream, dirty=True, io=False)
+                self._fill_mlc(now, core, addr, stream, True, False)
             else:
-                self._fill_mlc(now, core, addr, stream, dirty=False, io=False)
+                self._fill_mlc(now, core, addr, stream, False, False)
             return self._snoop_hit_cycles
 
         # Full miss: fill the MLC straight from memory (non-inclusive).
         counters.llc_misses += 1
         if io_read:
             counters.io_read_misses += 1
-        self.memory.read(now, 1, stream)
-        latency = self.memory.access_latency()
-        if self.mba is not None:
-            latency *= self.mba.latency_factor(self.cat.clos_of(core))
-        self._fill_mlc(now, core, addr, stream, dirty=write, io=io_read)
+        memory = self.memory
+        memory.read(now, 1, stream)
+        latency = memory.latency
+        mba = self.mba
+        if mba is not None:
+            # Inlined mba.latency_factor(cat.clos_of(core)).
+            delay = mba._delays.get(self.cat._core_clos.get(core, 0), 0)
+            latency *= 1.0 / (1.0 - delay / 100.0)
+        self._fill_mlc(now, core, addr, stream, write, io_read)
         if self._next_line_prefetch and not io_read:
             self._prefetch(now, core, addr + 1, stream)
         return latency
@@ -324,7 +326,7 @@ class CacheHierarchy:
         counters = self._stream(stream)
         counters.prefetch_fills += 1
         self.memory.read(now, 1, stream)
-        self._fill_mlc(now, core, addr, stream, dirty=False, io=False)
+        self._fill_mlc(now, core, addr, stream, False, False)
 
     def cpu_access_run(
         self,
@@ -341,7 +343,7 @@ class CacheHierarchy:
         address.  With batching on, maximal streaks of MLC *read* hits —
         which mutate nothing but recency and counters — are classified
         before any mutation and then processed in bulk (one counter update,
-        recency ticks pre-drawn in order); every other access (writes,
+        recency ticks drawn in scalar order); every other access (writes,
         misses, LLC/snoop transitions, prefetch triggers) delegates to the
         scalar path at its original position in the run, so any state it
         changes is visible to the classification of the remaining suffix.
@@ -366,19 +368,11 @@ class CacheHierarchy:
         mlc_hit_cycles = self._mlc_hit_cycles
         cpu_access = self.cpu_access
         n = len(addrs)
-        if batch.use_numpy(n):
-            # Vectorized set-index computation for the whole run.
-            idx = (
-                batch.np.asarray(addrs, dtype=batch.np.int64) % nmsets
-            ).tolist()
-        else:
-            idx = None
         total = 0.0
         i = 0
         while i < n:
             addr = addrs[i]
-            bucket = msets[idx[i]] if idx is not None else msets[addr % nmsets]
-            line = bucket.get(addr)
+            line = msets[addr % nmsets].get(addr)
             if line is None:
                 total += cpu_access(now, core, addr, stream, False, io_read)
                 i += 1
@@ -395,10 +389,7 @@ class CacheHierarchy:
                 if i >= n:
                     break
                 addr = addrs[i]
-                bucket = (
-                    msets[idx[i]] if idx is not None else msets[addr % nmsets]
-                )
-                line = bucket.get(addr)
+                line = msets[addr % nmsets].get(addr)
                 if line is None:
                     break
             counters.mlc_hits += count
@@ -429,25 +420,19 @@ class CacheHierarchy:
         bindings out of the per-line loop (NIC packets and NVMe transfers
         always write multi-line bursts).
         """
+        if (
+            self._batching
+            and lines >= batch.MIN_BURST
+            and (not allocating or self._uniform_ddio)
+        ):
+            self._dma_write_batched(
+                now, ((base_addr, lines, stream),), allocating
+            )
+            return
         counters = self._scounters.get(stream)
         if counters is None:
             counters = self._scounters[stream] = self.counters.stream(stream)
         counters.dma_writes += lines
-
-        if (
-            self._batching
-            and lines >= batch.MIN_BURST
-            and (
-                not allocating
-                or (self._llc_lru_tick is not None and self._ddio_write_update)
-            )
-        ):
-            # Batched dispatch covers the two uniform flows; the ablation
-            # (write-update off) and non-LRU policies keep scalar dispatch.
-            self._dma_write_burst_batched(
-                now, base_addr, lines, stream, allocating, counters
-            )
-            return
 
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
@@ -547,16 +532,15 @@ class CacheHierarchy:
                     # Stale copy invalidated without write-back.
                     llc.remove(llc_line)
 
-    def _dma_write_burst_batched(
+    def _dma_write_batched(
         self,
         now: float,
-        base_addr: int,
-        lines: int,
-        stream: str,
+        spans: Sequence[Tuple[int, int, str]],
         allocating: bool,
-        counters,
     ) -> None:
-        """Batch twin of the scalar burst loop (bit-identical by design).
+        """Batch twin of the scalar burst loop over one or more spans
+        (bit-identical by design).  It covers the two uniform flows; the
+        write-update ablation and non-LRU policies stay scalar.
 
         Parity rests on three invariants, each checked by the randomized
         property tests:
@@ -564,10 +548,9 @@ class CacheHierarchy:
         * at a fixed ``now`` the memory controller's utilisation window
           rolls at most once (on the first access), so per-line write-backs
           and one aggregated ``memory.write`` per stream account
-          identically;
+          identically, across spans as within one;
         * in the allocating LRU flow every line consumes exactly one LLC
-          recency tick (write-update or allocate), so the ticks can be
-          pre-drawn in line order;
+          recency tick (write-update or allocate), drawn in line order;
         * deferred per-victim-stream counter flushes run in first-encounter
           order, matching the order the scalar loop would lazily create
           stream counters in.
@@ -575,101 +558,93 @@ class CacheHierarchy:
         Anything that breaks uniformity — a snoop-filter hit, an inclusive
         victim — drops to the scalar helpers mid-batch for that line only.
         """
+        scounters = self._scounters
         sf_sets = self._sf_sets
         sf_nsets = self._sf_nsets
         llc_sets = self._llc_sets
         llc_nsets = self._llc_nsets
-        end = base_addr + lines
-        if batch.use_numpy(lines):
-            # Vectorized set-index computation for the whole burst.
-            addr_arr = batch.np.arange(base_addr, end, dtype=batch.np.int64)
-            llc_idx = (addr_arr % llc_nsets).tolist()
-            sf_idx = (
-                llc_idx
-                if sf_nsets == llc_nsets
-                else (addr_arr % sf_nsets).tolist()
-            )
-        else:
-            llc_idx = [a % llc_nsets for a in range(base_addr, end)]
-            sf_idx = (
-                llc_idx
-                if sf_nsets == llc_nsets
-                else [a % sf_nsets for a in range(base_addr, end)]
-            )
         llc = self.llc
+        memory_write = self.memory.write
 
         if not allocating:
-            for offset, addr in enumerate(range(base_addr, end)):
-                if sf_sets[sf_idx[offset]].get(addr) is not None:
-                    self._invalidate_peers(now, addr, keep_core=None, silent=True)
-                llc_line = llc_sets[llc_idx[offset]].index.get(addr)
-                if llc_line is not None:
-                    # Stale copy invalidated without write-back.
-                    llc_line.holders.clear()
-                    llc.remove(llc_line)
-            self.memory.write(now, lines, stream)
+            for base_addr, lines, stream in spans:
+                counters = scounters.get(stream)
+                if counters is None:
+                    counters = scounters[stream] = self.counters.stream(stream)
+                counters.dma_writes += lines
+                for addr in range(base_addr, base_addr + lines):
+                    if sf_sets[addr % sf_nsets].get(addr) is not None:
+                        self._invalidate_peers(
+                            now, addr, keep_core=None, silent=True
+                        )
+                    llc_line = llc_sets[addr % llc_nsets].index.get(addr)
+                    if llc_line is not None:
+                        # Stale copy invalidated without write-back.
+                        llc_line.holders.clear()
+                        llc.remove(llc_line)
+                memory_write(now, lines, stream)
             return
 
         dca_ways = llc.dca_ways
         lru_tick = self._llc_lru_tick
-        ticks = list(islice(lru_tick, lines))
-        n_updates = 0
-        n_allocates = 0
         # victim stream -> [evictions, leaks, write-back lines]
         evictions: dict[str, list] = {}
-        for offset, addr in enumerate(range(base_addr, end)):
-            if sf_sets[sf_idx[offset]].get(addr) is not None:
-                self._invalidate_peers(now, addr, keep_core=None, silent=True)
-            wayset = llc_sets[llc_idx[offset]]
-            index = wayset.index
-            llc_line = index.get(addr)
-            if llc_line is not None:
-                # DDIO write-update in place.
-                llc_line.holders.clear()
-                n_updates += 1
-                llc_line.dirty = True
-                llc_line.io = True
-                llc_line.consumed = False
-                llc_line.stream = stream
-                llc_line.lru = ticks[offset]
-                continue
-            # DDIO write-allocate into the DCA ways (inlined LRU allocate).
-            n_allocates += 1
-            slots = wayset.slots
-            way = -1
-            best_lru = None
-            for cand in dca_ways:
-                resident = slots[cand]
-                if resident is None:
-                    way = cand
-                    break
-                if best_lru is None or resident.lru < best_lru:
-                    way, best_lru = cand, resident.lru
-            if way < 0:
-                raise ValueError("no candidate ways for victim selection")
-            victim = slots[way]
-            if victim is not None:
-                del index[victim.addr]
-            line = LlcLine(addr, stream, way, True, True, False)
-            line.lru = ticks[offset]
-            slots[way] = line
-            index[addr] = line
-            if victim is not None:
-                if victim.holders:
-                    self._dispose_victim(now, victim)
-                else:
-                    acc = evictions.get(victim.stream)
-                    if acc is None:
-                        acc = evictions[victim.stream] = [0, 0, 0]
-                    acc[0] += 1
-                    if victim.io and not victim.consumed:
-                        acc[1] += 1
-                    if victim.dirty:
-                        acc[2] += 1
-        counters.ddio_updates += n_updates
-        counters.ddio_allocates += n_allocates
-        scounters = self._scounters
-        memory_write = self.memory.write
+        for base_addr, lines, stream in spans:
+            counters = scounters.get(stream)
+            if counters is None:
+                counters = scounters[stream] = self.counters.stream(stream)
+            counters.dma_writes += lines
+            n_updates = 0
+            for addr in range(base_addr, base_addr + lines):
+                if sf_sets[addr % sf_nsets].get(addr) is not None:
+                    self._invalidate_peers(now, addr, keep_core=None, silent=True)
+                wayset = llc_sets[addr % llc_nsets]
+                index = wayset.index
+                llc_line = index.get(addr)
+                if llc_line is not None:
+                    # DDIO write-update in place.
+                    llc_line.holders.clear()
+                    n_updates += 1
+                    llc_line.dirty = True
+                    llc_line.io = True
+                    llc_line.consumed = False
+                    llc_line.stream = stream
+                    llc_line.lru = next(lru_tick)
+                    continue
+                # DDIO write-allocate into the DCA ways (inlined LRU allocate).
+                slots = wayset.slots
+                way = -1
+                best_lru = None
+                for cand in dca_ways:
+                    resident = slots[cand]
+                    if resident is None:
+                        way = cand
+                        break
+                    if best_lru is None or resident.lru < best_lru:
+                        way, best_lru = cand, resident.lru
+                if way < 0:
+                    raise ValueError("no candidate ways for victim selection")
+                victim = slots[way]
+                if victim is not None:
+                    del index[victim.addr]
+                line = LlcLine(addr, stream, way, True, True, False)
+                line.lru = next(lru_tick)
+                slots[way] = line
+                index[addr] = line
+                if victim is not None:
+                    if victim.holders:
+                        self._dispose_victim(now, victim)
+                    else:
+                        acc = evictions.get(victim.stream)
+                        if acc is None:
+                            acc = evictions[victim.stream] = [0, 0, 0]
+                        acc[0] += 1
+                        if victim.io and not victim.consumed:
+                            acc[1] += 1
+                        if victim.dirty:
+                            acc[2] += 1
+            counters.ddio_updates += n_updates
+            counters.ddio_allocates += lines - n_updates
         for vstream, (evicted, leaked, written) in evictions.items():
             vcounters = scounters.get(vstream)
             if vcounters is None:
@@ -689,7 +664,10 @@ class CacheHierarchy:
         issued at the same timestamp; equivalent to one
         :meth:`dma_write_burst` per span, in order.  Devices that fan one
         service quantum across many buffers (the NVMe transfer engine) use
-        this to keep each span on the batched path."""
+        this so the whole quantum takes the batched path in one call."""
+        if self._batching and (not allocating or self._uniform_ddio):
+            self._dma_write_batched(now, spans, allocating)
+            return
         for base_addr, lines, stream in spans:
             self.dma_write_burst(now, base_addr, lines, stream, allocating)
 
@@ -799,7 +777,7 @@ class CacheHierarchy:
                 if victim_lru is None or resident.lru < victim_lru:
                     victim_addr, victim_lru = cand_addr, resident.lru
             victim = bucket.pop(victim_addr)
-        line = MlcLine(addr=addr, stream=stream, dirty=dirty, io=io)
+        line = MlcLine(addr, stream, dirty, io)
         line.lru = next(mlc._tick)
         bucket[addr] = line
         # Inlined SnoopFilter.track: a fresh MLC holder is the common case

@@ -61,7 +61,7 @@ class LlcLine:
         "consumed",
         "lru",
         "holders",
-        "meta",
+        "_meta",
     )
 
     def __init__(
@@ -85,8 +85,18 @@ class LlcLine:
         self.lru = lru
         self.holders: Set[int] = set() if holders is None else holders
         """Core ids whose MLC also holds this line (non-empty => LLC-inclusive)."""
-        self.meta: Dict[str, int] = {} if meta is None else meta
-        """Replacement-policy metadata (e.g. the RRIP re-reference value)."""
+        self._meta = meta
+
+    @property
+    def meta(self) -> Dict[str, int]:
+        """Replacement-policy metadata (e.g. the RRIP re-reference value).
+
+        Allocated on first use: only RRIP and NRU keep any, and an eager
+        dict per line is a measurable cost on the LRU path."""
+        meta = self._meta
+        if meta is None:
+            meta = self._meta = {}
+        return meta
 
     @property
     def inclusive(self) -> bool:

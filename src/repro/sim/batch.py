@@ -1,41 +1,31 @@
-"""Process-wide switch for batched (vectorized) event dispatch.
+"""Process-wide switch for batched event dispatch.
 
 Stage 2 of the perf overhaul coalesces homogeneous event runs — DMA
 write bursts and CPU access streaks — into batch descriptors processed
-with numpy array operations.  Batching is a pure performance mode: the
-scalar and batched paths must produce bit-identical counters, trace
-events, and cache state, so it is safe to flip at any time.
+in tight loops with bulk counter updates.  Batching is a pure
+performance mode: the scalar and batched paths must produce
+bit-identical counters, trace events, and cache state, so it is safe to
+flip at any time.
 
 The switch lives here (not on any simulator instance) because device
 models and the cache hierarchy snapshot it at construction; tests and
 the bench harness toggle it per-run via :func:`set_enabled` or the
 ``REPRO_BATCH_DISABLE`` environment variable.
 
-numpy is an optional accelerator, not a dependency: when it is missing
-the batched paths quietly degrade to tight scalar loops over the same
-batch descriptors, which still amortizes the per-event dispatch.
+The batched paths are plain Python.  Set indices are computed inline
+(``addr % nsets``) in the per-line loop: at the burst sizes devices
+issue (24-line NIC packets, ~16 one-line spans per NVMe quantum) that
+beats an array round-trip, and it keeps the simulator free of any
+import beyond the standard library.
 """
 
 from __future__ import annotations
 
 import os
 
-try:  # pragma: no cover - exercised implicitly by every batched test
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
-
-np = _np
-HAVE_NUMPY = _np is not None
-
 #: Bursts shorter than this stay on scalar dispatch entirely: forming a
 #: batch descriptor costs more than it saves below a handful of events.
 MIN_BURST = 4
-
-#: Bursts shorter than this are not worth the array round-trip; the
-#: scalar loop wins on constant factors.  Chosen from the micro bench:
-#: crossover sits between 8 and 16 lines on the reference machine.
-NUMPY_MIN_BURST = 16
 
 _enabled = os.environ.get("REPRO_BATCH_DISABLE", "") in ("", "0")
 
@@ -57,8 +47,3 @@ def set_enabled(value: bool) -> bool:
     previous = _enabled
     _enabled = bool(value)
     return previous
-
-
-def use_numpy(n: int) -> bool:
-    """Whether a burst of ``n`` homogeneous events should go through numpy."""
-    return HAVE_NUMPY and n >= NUMPY_MIN_BURST

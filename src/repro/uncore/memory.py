@@ -25,6 +25,7 @@ class MemoryController:
         "_window_start",
         "_window_lines",
         "_utilization",
+        "latency",
         "total_reads",
         "total_writes",
     )
@@ -46,6 +47,9 @@ class MemoryController:
         self._window_start = 0.0
         self._window_lines = 0
         self._utilization = 0.0
+        self.latency = self.access_latency()
+        """:meth:`access_latency` as of the last window roll (the only time
+        it changes); the CPU miss path reads this instead of recomputing."""
         self.total_reads = 0
         self.total_writes = 0
 
@@ -99,6 +103,7 @@ class MemoryController:
         inst = self._window_lines / elapsed / self.bandwidth
         # Exponential decay keeps the estimate smooth across windows.
         self._utilization = 0.5 * self._utilization + 0.5 * min(inst, 1.0)
+        self.latency = self.access_latency()
         self._window_start = now
         self._window_lines = 0
 

@@ -33,7 +33,7 @@ PLATFORMS = {
 }
 
 
-def build_hierarchy(spec, **cfg_overrides):
+def build_hierarchy(spec, replacement="lru", **cfg_overrides):
     bank = CounterBank()
     cat = CacheAllocation(ways=spec.llc_ways)
     memory = MemoryController.for_platform(bank, spec)
@@ -44,6 +44,7 @@ def build_hierarchy(spec, **cfg_overrides):
         ways=llc.ways,
         dca_ways=llc.dca_ways,
         inclusive_ways=llc.inclusive_ways,
+        replacement=replacement,
     )
     cfg = HierarchyConfig(
         cores=2, platform=spec, llc=llc, mlc_sets=4, mlc_ways=2,
@@ -162,6 +163,13 @@ def apply_ops(hierarchy, cat, ops):
         elif kind == "multi":
             _, spans, allocating = op
             hierarchy.dma_write_multi(now, spans, allocating)
+        elif kind == "spans":
+            # The reference for "multi": one burst per span, same timestamp.
+            _, spans, allocating = op
+            for base_addr, lines, stream in spans:
+                hierarchy.dma_write_burst(
+                    now, base_addr, lines, stream, allocating
+                )
         elif kind == "run":
             _, core, run, io_read = op
             total += hierarchy.cpu_access_run(
@@ -319,3 +327,112 @@ def test_parity_full_server_with_faults(monkeypatch):
     scalar = run_server(False)
     batched = run_server(True)
     assert batched == scalar
+
+
+# ---------------------------------------------------------------------------
+# Span lists: one batched call per NVMe-style quantum
+# ---------------------------------------------------------------------------
+
+
+def make_quanta(rng, spec, nops=300):
+    """CPU traffic interleaved with NVMe-style quanta: many short spans of
+    mixed streams at one timestamp, some on DCA-off ports.  The DDIO mask
+    is sometimes pointed at the inclusive ways, so DCA allocations evict
+    lines that MLCs still hold."""
+    ops = []
+    for _ in range(nops):
+        roll = rng.random()
+        core = rng.randrange(2)
+        addr = rng.randrange(256)
+        if roll < 0.35:
+            spans = [
+                (
+                    rng.randrange(256),
+                    rng.randrange(1, 4),
+                    rng.choice(("nvme0", "nvme1", "nic")),
+                )
+                for _ in range(rng.randrange(2, 20))
+            ]
+            ops.append(("multi", spans, rng.random() < 0.75))
+        elif roll < 0.65:
+            ops.append(("read", core, addr, rng.random() < 0.5))
+        elif roll < 0.75:
+            ops.append(("write", core, addr))
+        elif roll < 0.85:
+            run = [rng.randrange(256) for _ in range(rng.randrange(1, 24))]
+            ops.append(("run", core, run, rng.random() < 0.5))
+        elif roll < 0.9:
+            ops.append(("dma_read", addr))
+        elif roll < 0.96:
+            if rng.random() < 0.5:
+                ops.append(("dca_ways", spec.inclusive_ways))
+            else:
+                ops.append(("dca_ways", spec.dca_ways))
+        else:
+            first = rng.randrange(4)
+            ops.append(("mask", rng.randrange(2), first, first + 3))
+    return ops
+
+
+def as_span_bursts(ops):
+    return [("spans",) + op[1:] if op[0] == "multi" else op for op in ops]
+
+
+def quanta_coverage(spec, ops):
+    """How often a quantum saw a snoop-filter hit after its first span, or
+    evicted an LLC line with MLC holders (replayed on a scalar twin)."""
+    hierarchy, bank, cat = build_hierarchy(spec)
+    hierarchy.set_batching(False)
+    sf_hits = holder_victims = 0
+    for op in ops:
+        if op[0] == "multi":
+            spans = op[1]
+            sf_hits += any(
+                hierarchy.sf.entry(addr) is not None
+                for base, lines, _ in spans[1:]
+                for addr in range(base, base + lines)
+            )
+            before = sum(c.inclusive_downgrades for c in bank.streams.values())
+            apply_ops(hierarchy, cat, [op])
+            after = sum(c.inclusive_downgrades for c in bank.streams.values())
+            holder_victims += after > before
+        else:
+            apply_ops(hierarchy, cat, [op])
+    return sf_hits, holder_victims
+
+
+@pytest.mark.parametrize("platform", sorted(PLATFORMS))
+@pytest.mark.parametrize("seed", [31, 32])
+def test_multi_span_matches_per_span_scalar_bursts(platform, seed):
+    spec = PLATFORMS[platform]
+    ops = make_quanta(random.Random(seed), spec)
+    reference, _ = run_once(spec, as_span_bursts(ops), batching=False)
+    batched, _ = run_once(spec, ops, batching=True)
+    assert batched == reference
+    assert any(op[0] == "multi" and not op[2] for op in ops)
+    sf_hits, holder_victims = quanta_coverage(spec, ops)
+    assert sf_hits > 0
+    assert holder_victims > 0
+
+
+def test_multi_span_ablation_and_rrip_fall_back_to_scalar(monkeypatch):
+    """Without write-update, or under RRIP, an allocating quantum never
+    enters the batched routine, and its end state still matches one scalar
+    burst per span."""
+    batched_routine = CacheHierarchy._dma_write_batched
+
+    def non_allocating_only(self, now, spans, allocating):
+        assert not allocating, "allocating flow must stay scalar here"
+        return batched_routine(self, now, spans, allocating)
+
+    monkeypatch.setattr(
+        CacheHierarchy, "_dma_write_batched", non_allocating_only
+    )
+    ops = make_quanta(random.Random(41), SKYLAKE_SP, nops=200)
+    for overrides in ({"ddio_write_update": False}, {"replacement": "srrip"}):
+        reference, _ = run_once(
+            SKYLAKE_SP, as_span_bursts(ops), batching=False, **overrides
+        )
+        batched, _ = run_once(SKYLAKE_SP, ops, batching=True, **overrides)
+        assert batched == reference
+

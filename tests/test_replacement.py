@@ -1,5 +1,8 @@
 """Tests for the pluggable LLC replacement policies."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.cache.line import LlcLine
@@ -178,3 +181,59 @@ def test_srrip_resists_streaming_better_than_lru():
         return hits
 
     assert run("srrip") > run("lru")
+
+
+def _drive(llc, rng, steps):
+    """Random lookups and fills over a small footprint; returns the
+    victim address of every fill (None for an empty way)."""
+    victims = []
+    for _ in range(steps):
+        addr = rng.randrange(40)
+        if llc.lookup(addr) is None:
+            io = rng.random() < 0.3
+            _, victim = llc.allocate(
+                addr, "s", range(11), io=io, consumed=io and rng.random() < 0.5
+            )
+            victims.append(None if victim is None else victim.addr)
+    return victims
+
+
+def _meta_state(llc):
+    return sorted(
+        (line.addr, line.way, line.lru, tuple(sorted(line.meta.items())))
+        for line in llc.resident()
+    )
+
+
+def test_lru_lines_never_allocate_meta():
+    assert LlcLine(addr=0, stream="s", way=0)._meta is None
+    llc = LastLevelCache(LlcConfig(sets=1))
+    _drive(llc, random.Random(1), 200)
+    assert all(line._meta is None for line in llc.resident())
+
+
+@pytest.mark.parametrize("name", ["srrip", "brrip", "nru", "deadblock"])
+def test_lazy_meta_drives_policy_and_survives_checkpoint(name):
+    """``LlcLine.meta`` is allocated on first use: every line the policy
+    filled carries its state, and a pickled copy (checkpoints pickle the
+    whole server) continues exactly like the original."""
+    key = "nru" if name == "nru" else "rrpv"
+    rng = random.Random(7)
+    llc = LastLevelCache(LlcConfig(sets=1, replacement=name))
+    _drive(llc, rng, 300)
+    assert all(key in line.meta for line in llc.resident())
+
+    clone = pickle.loads(pickle.dumps(llc, protocol=pickle.HIGHEST_PROTOCOL))
+    assert _meta_state(clone) == _meta_state(llc)
+    state = rng.getstate()
+    original = _drive(llc, rng, 300)
+    rng.setstate(state)
+    restored = _drive(clone, rng, 300)
+    assert restored == original
+    assert _meta_state(clone) == _meta_state(llc)
+    # The metadata steers the victim choice: plain LRU evicts differently.
+    rng.setstate(state)
+    lru = LastLevelCache(LlcConfig(sets=1))
+    for line in sorted(clone.resident(), key=lambda line: line.lru):
+        lru.allocate(line.addr, "s", [line.way])
+    assert _drive(lru, rng, 300) != original

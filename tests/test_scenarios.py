@@ -1,5 +1,10 @@
 """Tests for the evaluation scenarios (Table 2/3 combinations)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.a4 import A4Manager
@@ -71,3 +76,25 @@ def test_scenarios_run_one_epoch():
     server = build_server(hpw_heavy_workloads(), scheme="a4")
     result = server.run(epochs=3, warmup=1)
     assert "fastclick" in result.stream_names()
+
+
+NUMPY_FREE_RUN = """
+import sys
+from repro.experiments.scenarios import build_server, microbenchmark_workloads
+server = build_server(microbenchmark_workloads(), scheme="a4")
+server.run(epochs=1, warmup=0)
+assert "numpy" not in sys.modules, "the simulator imported numpy"
+"""
+
+
+def test_simulator_runs_without_importing_numpy():
+    """The simulator core is stdlib-only: importing it and running an
+    A4-managed epoch in a fresh interpreter never loads numpy (its import
+    used to be ~40% of every process's start-up)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
