@@ -124,30 +124,3 @@ def classify(exc: BaseException) -> str:
     if isinstance(exc, MemoryError):
         return "resources"
     return "runtime"
-
-
-def classify_name(exc_type_name: str) -> str:
-    """Best-effort category from an exception *type name* alone.
-
-    The process-pool runner serializes worker failures as
-    ``(type_name, message, traceback)`` strings; this maps the name back to
-    a category without needing the original object.
-    """
-    mapping = {
-        "WorkloadConfigError": "config",
-        "InsufficientEpochsError": "config",
-        "SweepConfigError": "config",
-        "ConfigError": "config",
-        "TenantConfigError": "config",
-        "ValueError": "config",
-        "TypeError": "config",
-        "CoreAllocationError": "resources",
-        "MemoryError": "resources",
-        "FigureShapeError": "figure",
-        "ClosConfigError": "allocation",
-        "TransientClosError": "allocation",
-        "PortConfigError": "allocation",
-        "TransientPortError": "allocation",
-        "BrokenProcessPool": CATEGORY_POOL,
-    }
-    return mapping.get(exc_type_name, "runtime")

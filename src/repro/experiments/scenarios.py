@@ -30,10 +30,6 @@ from repro.workloads.xmem import xmem_table3
 KB = 1024
 MB = 1024 * KB
 
-SERVER_CORES = DEFAULT_PLATFORM.cores
-"""The paper's Xeon Gold 6140 core count (one core is the A4 daemon's).
-Back-compat alias — the budget now lives on the platform spec."""
-
 
 def microbenchmark_workloads(
     packet_bytes: int = 1024,

@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.errors import FigureShapeError, SweepConfigError
 from repro.experiments.harness import Server
 from repro.experiments.parallel import (
-    METRIC_FIELDS,
     FigureTask,
     SeedTask,
     run_figure,
@@ -32,11 +31,6 @@ DEFAULT_SEEDS = (0xA4, 0xA5, 0xA6, 0xA7, 0xA8)
 
 DEFAULT_SWEEP_PLATFORMS = ("skylake-sp", "cascadelake-sp", "icelake-sp")
 """The preset registry, in the order the sensitivity sweep visits it."""
-
-_NUMERIC_FIELDS = METRIC_FIELDS
-"""Back-compat alias; the canonical tuple lives in
-:mod:`repro.experiments.parallel` so worker processes import it without
-pulling in this module."""
 
 
 def mean(values: Sequence[float]) -> float:

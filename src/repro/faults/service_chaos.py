@@ -17,7 +17,7 @@ machine, and the properties they check are the service's — a killed
 worker resumes from its newest checkpoint and still produces the
 bit-identical figure; a silent worker is detected and replaced; a
 corrupted row is quarantined without wedging the queue.  Used by
-``tests/test_service.py`` and ``tools/service_smoke.py``.
+``tests/test_service.py``.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Three formats, all lossless where it matters:
   actually requires.
 * **Prometheus text exposition** — counters/gauges/histograms from a
   :class:`~repro.obsv.metrics.MetricsRegistry`; :func:`parse_prometheus`
-  is the matching (strict, subset) parser used by tests and the CI
-  smoke.
+  is the matching (strict, subset) parser used by tests, including
+  ``pytest -m smoke``.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def parse_prometheus(text: str) -> Dict[str, float]:
 
     Strict about structure (raises :class:`ValueError` on a malformed
     line) but limited to the subset :func:`render_prometheus` emits —
-    enough for round-trip tests and the CI smoke's 'output parses'
+    enough for round-trip tests and the smoke suite's 'output parses'
     assertion."""
     samples: Dict[str, float] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):

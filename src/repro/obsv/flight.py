@@ -8,7 +8,7 @@ spooled events and freezes them, together with the durable job row and
 the failure classification, into one JSON artifact next to the job's
 result path (``<result>.crash.json``).  That file is the "black box":
 ``tools/obsv.py`` can replay the final seconds of a worker that no
-longer exists, and the CI service smoke asserts the salvaged tail
+longer exists, and ``tests/test_service.py`` asserts the salvaged tail
 matches the shard the worker actually wrote.
 
 Reports are plain JSON (not JSONL) because they are single, final

@@ -4,7 +4,7 @@ A4's whole premise is that LLC management must be *microarchitecture-aware*:
 which ways are DCA (DDIO) ways, which double as the hidden inclusive
 (shared-directory) ways, how big the private MLC is relative to one LLC way.
 Historically this repository hard-coded exactly one platform — the paper's
-Skylake-SP Xeon Gold 6140 — as module-level constants in ``repro.config``.
+Skylake-SP Xeon Gold 6140 — as module-level constants.
 
 :class:`PlatformSpec` turns that ambient global state into an explicit,
 frozen value threaded through every layer (caches, RDT, uncore, devices,
@@ -13,8 +13,6 @@ to the old constants, so default behaviour is preserved bit-for-bit; other
 presets and the :func:`custom` builder unlock the sensitivity studies the
 paper could not run on fixed silicon (vary associativity, DCA-way count,
 inclusive-way placement — see ``docs/platforms.md``).
-
-This module must not import ``repro.config`` — the shim there imports *us*.
 """
 
 from __future__ import annotations
@@ -215,7 +213,7 @@ SKYLAKE_SP = PlatformSpec(name="skylake-sp")
 """The paper's testbed — Intel Xeon Gold 6140: a 25 MiB, 11-way,
 non-inclusive LLC shared by 18 cores, 1 MiB private MLCs, two DCA ways
 (0, 1), two inclusive ways (9, 10).  Numerically identical to the historic
-``repro.config`` constants; the default platform everywhere."""
+module-level constants; the default platform everywhere."""
 
 CASCADELAKE_SP = PlatformSpec(
     name="cascadelake-sp",

@@ -12,9 +12,9 @@ Three cooperating modules:
   (also used by :mod:`repro.experiments.parallel` for dispatch retries).
 
 This ``__init__`` stays import-light on purpose: ``parallel.py`` imports
-:mod:`repro.service.retry` and the supervisor imports ``parallel`` back,
-so eagerly importing the supervisor here would create a cycle.  Names
-resolve lazily via module ``__getattr__``.
+:mod:`repro.service.retry`, which must not drag the store and the
+supervisor into every pool worker.  Names resolve lazily via module
+``__getattr__``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ schedule, which keeps service tests reproducible, while different jobs
 still de-synchronize (the point of jitter).
 
 Kept import-light on purpose — only the error taxonomy — because
-``repro.experiments.parallel`` imports this module and the heavier
-service modules import ``parallel`` back.
+``repro.experiments.parallel`` imports this module into every pool
+worker.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ DEFAULT_POLICY = RetryPolicy()
 """The service default: 3 total attempts, 0.5 s -> 1 s backoff."""
 
 FAST_POLICY = RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.5)
-"""Tight-loop variant for tests and smoke tools (same shape, short
-waits)."""
+"""Tight-loop variant for tests (same shape, short waits)."""
 
 __all__ = [
     "CATEGORY_CORRUPT",

@@ -28,12 +28,6 @@ mid-run costs at most one checkpoint cadence — and because every
 simulation is deterministic, the final figure is **bit-identical** to an
 uninterrupted run (the result digest in the store proves it).
 
-After any unclean worker death the supervisor also recycles this
-process's module-level warm pool if it broke
-(:func:`repro.experiments.parallel.recycle_if_broken`), so a service
-host that also fans figures out over ``--jobs`` never inherits a
-poisoned executor.
-
 Observability: when ``SupervisorConfig.spool_root`` is set, every worker
 gets a per-job trace spool directory (``spool_root/job-<key16>/``) and a
 :class:`~repro.obsv.tracer.TraceContext` through the environment; the
@@ -350,8 +344,6 @@ class Supervisor:
         self, job: Job, kill_category: Optional[str], worker_pid: int = 0
     ) -> Job:
         """Turn whatever the worker left behind into a final transition."""
-        from repro.experiments import parallel
-
         row = self.store.job(job.id)
         if row.state == DONE:
             self.report.done += 1
@@ -369,11 +361,6 @@ class Supervisor:
             row = self.store.mark_failed(
                 job.id, f"worker died without recording a result", category
             )
-            # The worker cannot have broken this process's warm pool, but
-            # a service host that also dispatches --jobs batches can have
-            # a broken executor sitting around; replace it while we are
-            # already in failure handling.
-            parallel.recycle_if_broken()
         if row.state != FAILED:  # pragma: no cover - concurrent settle
             return row
         self._flight_record(row, crash_reason, worker_pid)

@@ -76,7 +76,7 @@ WHEEL_SLOTS = 256
 WHEEL_GRAIN = 16.0
 """Cycles per bucket; the wheel spans ``WHEEL_SLOTS * WHEEL_GRAIN`` cycles.
 Sized so the common process delays (tens to a couple hundred cycles, see
-the latency ladder in ``repro.config``) land a few buckets ahead and only
+the latency ladder on :class:`~repro.platform.PlatformSpec`) land a few buckets ahead and only
 rare long sleeps fall through to the far heap."""
 
 _INV_GRAIN = 1.0 / WHEEL_GRAIN

@@ -36,13 +36,6 @@ class AccessProfile:
     realistic MLC hit rate."""
     stride_lines: int = 4
     """Line stride for the 'stride' pattern (X-Mem's strided mode)."""
-    batch_accesses: int = 1
-    """Opt-in event coalescing: issue this many loop iterations as one
-    ``cpu_access_run`` at a single timestamp, yielding their summed cost.
-    The default (1) is the exact per-access process and what every figure
-    uses; values > 1 coarsen the event timeline (fewer, larger events), so
-    this is an approximation knob for long-horizon capacity sweeps, not a
-    transparent speedup — results are NOT bit-identical to the default."""
 
     def __post_init__(self) -> None:
         if self.working_set_lines <= 0:
@@ -59,13 +52,6 @@ class AccessProfile:
             raise ValueError("repeats must be >= 1")
         if self.stride_lines < 1:
             raise ValueError("stride_lines must be >= 1")
-        if self.batch_accesses < 1:
-            raise ValueError("batch_accesses must be >= 1")
-        if self.batch_accesses > 1 and self.write_fraction > 0:
-            raise ValueError(
-                "batch_accesses > 1 requires a read-only profile "
-                "(cpu_access_run issues homogeneous read runs)"
-            )
 
 
 class _SynthState:
@@ -146,24 +132,6 @@ class SyntheticWorkload(Workload):
                 addr = base + rng.randrange(lines)
             st.index = index
             return addr
-
-        if profile.batch_accesses > 1:
-            # Opt-in coalescing: ``batch_accesses`` loop iterations become
-            # one event.  The addresses visited and the total cycles charged
-            # match the per-access loop; only the event timeline coarsens
-            # (all accesses of a batch land at the same ``now``).
-            while True:
-                addrs = []
-                for _ in range(profile.batch_accesses):
-                    addr = next_addr()
-                    addrs.extend([addr] * profile.repeats)
-                latency = hierarchy.cpu_access_run(
-                    server.sim.now, core, addrs, self.name
-                )
-                counters.instructions += (
-                    profile.instructions_per_access * len(addrs)
-                )
-                yield latency + profile.compute_cycles * len(addrs)
 
         while True:
             if st.rep == 0:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.experiments.harness import Server
+from repro.platform import SKYLAKE_SP
 from repro.workloads.fio import FioWorkload
 
 KB = 1024
@@ -28,7 +28,7 @@ def test_blocks_complete_and_are_scanned():
 
 def test_block_lines_scaled_from_paper_bytes():
     w = FioWorkload(block_bytes=2 * MB)
-    assert w.block_lines == config.lines_for_paper_bytes(2 * MB)
+    assert w.block_lines == SKYLAKE_SP.lines_for_paper_bytes(2 * MB)
     assert FioWorkload(block_bytes=4 * KB).block_lines >= 1
 
 

@@ -1,7 +1,7 @@
 """CPU-side behaviour of the cache hierarchy: non-inclusive fills, victim
 cache, RFOs, and cross-MLC snoops."""
 
-from repro import config
+from repro.platform import SKYLAKE_SP
 
 
 def test_first_access_misses_to_memory(hierarchy, bank):
@@ -9,7 +9,7 @@ def test_first_access_misses_to_memory(hierarchy, bank):
     c = bank.stream("s")
     assert c.mlc_misses == 1 and c.llc_misses == 1
     assert c.mem_reads == 1
-    assert latency >= config.MEMORY_CYCLES
+    assert latency >= SKYLAKE_SP.memory_cycles
 
 
 def test_miss_fills_mlc_only_non_inclusive(hierarchy):
@@ -22,7 +22,7 @@ def test_second_access_hits_mlc(hierarchy, bank):
     hierarchy.cpu_access(0.0, 0, 100, "s")
     latency = hierarchy.cpu_access(1.0, 0, 100, "s")
     assert bank.stream("s").mlc_hits == 1
-    assert latency == config.MLC_HIT_CYCLES
+    assert latency == SKYLAKE_SP.mlc_hit_cycles
 
 
 def test_mlc_eviction_allocates_into_llc(hierarchy):
@@ -39,7 +39,7 @@ def test_llc_hit_transfers_line_back_to_mlc(hierarchy, bank):
     for addr in range(mlc_capacity + 1):
         hierarchy.cpu_access(0.0, 0, addr, "s")
     latency = hierarchy.cpu_access(1.0, 0, 0, "s")
-    assert latency == config.LLC_HIT_CYCLES
+    assert latency == SKYLAKE_SP.llc_hit_cycles
     assert bank.stream("s").llc_hits == 1
     # Non-inclusive victim-cache: the regular line's LLC copy is invalidated.
     assert hierarchy.llc.lookup(0, touch=False) is None

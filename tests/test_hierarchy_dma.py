@@ -1,14 +1,14 @@
 """DMA-side behaviour: DDIO write-allocate/update, the non-allocating flow,
 DMA leak accounting, and the egress path."""
 
-from repro import config
+from repro.platform import SKYLAKE_SP
 
 
 def test_ddio_write_allocates_into_dca_ways(hierarchy, bank):
     hierarchy.dma_write(0.0, 500, "nic", allocating=True)
     line = hierarchy.llc.lookup(500, touch=False)
     assert line is not None
-    assert line.way in config.DCA_WAYS
+    assert line.way in SKYLAKE_SP.dca_ways
     assert line.io and line.dirty and not line.consumed
     assert bank.stream("nic").ddio_allocates == 1
 
@@ -49,7 +49,7 @@ def test_dma_write_invalidates_mlc_copies(hierarchy):
 def test_dma_leak_counted_on_unconsumed_eviction(hierarchy, bank):
     # Flood the DCA ways of one set with more unconsumed lines than fit.
     sets = hierarchy.llc.cfg.sets
-    for i in range(len(config.DCA_WAYS) + 1):
+    for i in range(len(SKYLAKE_SP.dca_ways) + 1):
         hierarchy.dma_write(0.0, 1000 + i * sets, "nic", allocating=True)
     c = bank.stream("nic")
     assert c.dma_leaks == 1
@@ -61,7 +61,7 @@ def test_consumed_line_eviction_is_not_a_leak(hierarchy, bank):
     hierarchy.dma_write(0.0, 1000, "nic", allocating=True)
     hierarchy.cpu_access(0.5, 0, 1000, "nic", io_read=True)
     # 1000 migrated to an inclusive way; flood DCA ways of the same set.
-    for i in range(1, len(config.DCA_WAYS) + 2):
+    for i in range(1, len(SKYLAKE_SP.dca_ways) + 2):
         hierarchy.dma_write(1.0, 1000 + i * sets, "nic", allocating=True)
     assert bank.stream("nic").dma_leaks <= 1  # only unconsumed ones count
 
@@ -109,5 +109,5 @@ def test_dma_read_of_mlc_only_line_read_allocates_inclusive(hierarchy):
     hierarchy.dma_read(1.0, 3002, "nic")
     line = hierarchy.llc.lookup(3002, touch=False)
     assert line is not None
-    assert line.way in config.INCLUSIVE_WAYS
+    assert line.way in SKYLAKE_SP.inclusive_ways
     assert 0 in line.holders

@@ -1,23 +1,23 @@
 """The paper's core microarchitectural discovery (O1): consumed DMA lines
 migrate into the inclusive ways, contending with whoever lives there."""
 
-from repro import config
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.llc import LlcConfig
+from repro.platform import SKYLAKE_SP
 
 
 def test_consumed_dca_line_migrates_to_inclusive_way(hierarchy):
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
-    assert hierarchy.llc.lookup(100, touch=False).way in config.DCA_WAYS
+    assert hierarchy.llc.lookup(100, touch=False).way in SKYLAKE_SP.dca_ways
     hierarchy.cpu_access(1.0, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line.way in config.INCLUSIVE_WAYS
+    assert line.way in SKYLAKE_SP.inclusive_ways
     assert line.holders == {0}
 
 
 def test_migration_evicts_inclusive_way_occupants(hierarchy, cat, bank):
     # A bystander explicitly allocated to the inclusive ways (way[9:10]).
-    cat.set_mask(1, config.INCLUSIVE_WAYS)
+    cat.set_mask(1, SKYLAKE_SP.inclusive_ways)
     cat.associate(1, 1)
     sets = hierarchy.llc.cfg.sets
     base = 5000
@@ -31,7 +31,7 @@ def test_migration_evicts_inclusive_way_occupants(hierarchy, cat, bank):
     occupancy = [
         line
         for line in hierarchy.llc.resident()
-        if line.stream == "bystander" and line.way in config.INCLUSIVE_WAYS
+        if line.stream == "bystander" and line.way in SKYLAKE_SP.inclusive_ways
     ]
     assert occupancy, "bystander must occupy inclusive ways first"
 
@@ -54,13 +54,14 @@ def test_migration_ignores_cat_masks(hierarchy, cat):
     cat.associate(0, 1)
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(1.0, 0, 100, "nic", io_read=True)
-    assert hierarchy.llc.lookup(100, touch=False).way in config.INCLUSIVE_WAYS
+    line = hierarchy.llc.lookup(100, touch=False)
+    assert line.way in SKYLAKE_SP.inclusive_ways
 
 
 def test_no_migration_without_consumption(hierarchy):
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     # Untouched by any CPU: line remains in the DCA ways (DPDK-NT behaviour).
-    assert hierarchy.llc.lookup(100, touch=False).way in config.DCA_WAYS
+    assert hierarchy.llc.lookup(100, touch=False).way in SKYLAKE_SP.dca_ways
 
 
 def test_ablation_flag_disables_migration(bank, cat, memory):
@@ -69,7 +70,7 @@ def test_ablation_flag_disables_migration(bank, cat, memory):
     hierarchy.dma_write(0.0, 100, "nic", allocating=True)
     hierarchy.cpu_access(1.0, 0, 100, "nic", io_read=True)
     line = hierarchy.llc.lookup(100, touch=False)
-    assert line.way in config.DCA_WAYS
+    assert line.way in SKYLAKE_SP.dca_ways
     assert bank.stream("nic").migrations == 0
 
 

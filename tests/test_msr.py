@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.experiments.harness import Server
+from repro.platform import SKYLAKE_SP
 from repro.uncore.msr import IIO_LLC_WAYS, MsrFile, mask_to_ways, ways_to_mask
 from repro.workloads.xmem import xmem
 
@@ -16,7 +16,7 @@ def test_mask_conversions():
 
 def test_default_register_value():
     server = Server(cores=2)
-    assert server.msr.rdmsr(IIO_LLC_WAYS) == ways_to_mask(config.DCA_WAYS)
+    assert server.msr.rdmsr(IIO_LLC_WAYS) == ways_to_mask(SKYLAKE_SP.dca_ways)
 
 
 def test_wrmsr_reprograms_ddio_ways():

@@ -3,9 +3,9 @@ cache hierarchy's invariants."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro import config
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.llc import LastLevelCache, LlcConfig
+from repro.platform import SKYLAKE_SP
 from repro.rdt.cat import CacheAllocation
 from repro.telemetry.counters import CounterBank
 from repro.telemetry.latency import LatencyTracker, percentile
@@ -159,6 +159,6 @@ def test_llc_occupancy_never_exceeds_geometry(addrs):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=40))
 def test_capacity_scaling_monotonic(mb):
-    smaller = config.lines_for_paper_bytes(mb * 1024 * 1024)
-    larger = config.lines_for_paper_bytes((mb + 1) * 1024 * 1024)
+    smaller = SKYLAKE_SP.lines_for_paper_bytes(mb * 1024 * 1024)
+    larger = SKYLAKE_SP.lines_for_paper_bytes((mb + 1) * 1024 * 1024)
     assert larger >= smaller >= 1

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.experiments.harness import Server
+from repro.platform import SKYLAKE_SP
 from repro.workloads.spec import SPEC_PROFILES, spec_workload
 from repro.workloads.synthetic import AccessProfile, SyntheticWorkload
 from repro.workloads.xmem import xmem, xmem_table3
@@ -24,13 +24,6 @@ def test_profile_validation():
         AccessProfile(working_set_lines=10, write_fraction=1.5)
     with pytest.raises(ValueError):
         AccessProfile(working_set_lines=10, repeats=0)
-    with pytest.raises(ValueError):
-        AccessProfile(working_set_lines=10, batch_accesses=0)
-    with pytest.raises(ValueError):
-        # Coalesced runs are homogeneous reads; stores need the exact loop.
-        AccessProfile(
-            working_set_lines=10, batch_accesses=8, write_fraction=0.5
-        )
 
 
 def test_small_ws_reaches_high_hit_rate():
@@ -83,9 +76,9 @@ def test_multicore_splits_working_set():
 
 
 def test_xmem_capacity_scaling_preserves_paper_constraints():
-    ws = config.lines_for_paper_bytes(4 * 1024 * 1024)
-    two_mlcs = 2 * config.MLC_LINES
-    two_ways = 2 * config.LLC_WAY_LINES
+    ws = SKYLAKE_SP.lines_for_paper_bytes(4 * 1024 * 1024)
+    two_mlcs = 2 * SKYLAKE_SP.mlc_lines
+    two_ways = 2 * SKYLAKE_SP.llc_way_lines
     assert two_mlcs < ws < two_ways
 
 
@@ -117,29 +110,6 @@ def test_stride_pattern_covers_working_set():
     assert counters.mlc_hits + counters.mlc_misses > 0
 
 
-def test_batch_accesses_matches_scalar_access_totals():
-    """The coalescing knob must visit the same lines and charge the same
-    instruction count as the per-access loop; only event granularity (and
-    therefore how far an epoch budget stretches) may differ."""
-    scalar = AccessProfile(working_set_lines=256, repeats=2)
-    batched = AccessProfile(working_set_lines=256, repeats=2, batch_accesses=16)
-
-    def totals(profile, name):
-        server = Server(cores=2, seed=7)
-        server.add_workload(SyntheticWorkload(name, profile, "HPW", cores=1))
-        server.run(epochs=3, warmup=1)
-        counters = server.counters.stream(name)
-        accesses = counters.mlc_hits + counters.mlc_misses
-        events = server.sim.events_executed
-        return counters.instructions / max(accesses, 1), accesses, events
-
-    ipa_s, accesses_s, events_s = totals(scalar, "s")
-    ipa_b, accesses_b, events_b = totals(batched, "b")
-    assert ipa_b == ipa_s  # instructions-per-access preserved exactly
-    assert accesses_b > 0 and accesses_s > 0
-    assert events_b < events_s  # that's the point of the knob
-
-
 def test_stride_validation():
     with pytest.raises(ValueError):
         AccessProfile(working_set_lines=10, pattern="stride", stride_lines=0)
@@ -162,7 +132,7 @@ def test_spec_profiles_cover_table2():
 
 
 def test_spec_antagonists_have_streaming_signature():
-    llc_lines = config.LLC_SETS * config.LLC_WAYS
+    llc_lines = SKYLAKE_SP.llc_sets * SKYLAKE_SP.llc_ways
     for name in ("bwaves", "lbm"):
         assert SPEC_PROFILES[name].working_set_lines > llc_lines
 
