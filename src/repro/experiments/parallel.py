@@ -305,12 +305,11 @@ def recycle_if_broken() -> bool:
 
     A :class:`BrokenProcessPool` marks the executor permanently broken;
     every later submit fails instantly.  Rather than leaving the *next*
-    batch to discover that, callers in failure-handling paths (the batch
-    dispatcher below, the job-service supervisor after a worker death)
-    recycle eagerly: tear the broken executor down and warm a fresh one
-    with the same worker count.  Returns True when a recycle happened;
-    counted in :data:`dispatch_stats` (and from there exported by
-    ``obsv.collect_process``)."""
+    batch to discover that, the batch dispatcher below recycles eagerly
+    after a worker death: it tears the broken executor down and warms a
+    fresh one with the same worker count.  Returns True when a recycle
+    happened; counted in :data:`dispatch_stats` (and from there exported
+    by ``obsv.collect_process``)."""
     global _pool
     if _pool is None or not getattr(_pool, "_broken", False):
         return False
@@ -341,9 +340,9 @@ class DispatchStats:
     timeouts: int = 0
     """Chunks whose worker missed the dispatch timeout."""
     retried_tasks: int = 0
-    """Tasks re-run serially in-parent after a timeout."""
+    """Tasks re-run serially in-parent after a timeout or a dead worker."""
     broken_pools: int = 0
-    """Whole-batch serial fallbacks after a dead worker."""
+    """Batches whose executor broke because a worker died."""
     pool_recycles: int = 0
     """Broken executors proactively replaced with warm ones."""
     backoff_seconds: float = 0.0
@@ -419,6 +418,66 @@ def _chunked(items: Sequence[Any], n_chunks: int) -> List[List[Any]]:
     return chunks
 
 
+Outcome = Tuple[int, Any, Optional[TaskFailure]]
+
+
+def _dispatch(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    workers: int,
+    timeout: Optional[float],
+) -> List[Outcome]:
+    """Pool side of :func:`run_tasks`: one contiguous chunk per worker.
+
+    A chunk is *stranded* when its worker misses ``timeout`` (presumed
+    wedged) or dies (which breaks the executor).  Chunks that finished
+    keep their outcomes and cache stats; only the stranded tasks run
+    again, once, serially, in this process, where they can neither hang
+    nor crash silently."""
+    outcomes: List[Outcome] = []
+    stranded: List[Tuple[int, Any]] = []
+    broken = False
+    parent_stats = runcache.get_cache().stats
+    pool = get_pool(workers)
+    submitted = []
+    for chunk in _chunked(list(enumerate(tasks)), workers):
+        try:
+            submitted.append((pool.submit(_run_chunk, fn, chunk), chunk))
+        except BrokenProcessPool:
+            broken = True
+            stranded.extend(chunk)
+    for future, chunk in submitted:
+        try:
+            chunk_outcomes, chunk_stats = future.result(timeout=timeout)
+        except FutureTimeoutError:
+            dispatch_stats.timeouts += 1
+            stranded.extend(chunk)
+            continue
+        except BrokenProcessPool:
+            broken = True
+            stranded.extend(chunk)
+            continue
+        outcomes.extend(chunk_outcomes)
+        parent_stats.merge(chunk_stats)
+    if stranded:
+        if broken:
+            # A dead worker (OOM-kill etc.) poisons the executor: replace
+            # it with a warm one for the next batch.
+            dispatch_stats.broken_pools += 1
+            if not recycle_if_broken():
+                shutdown_pool()
+        else:
+            # A wedged worker, not a slow one: joining it would wedge us
+            # too, so abandon the executor without a join.
+            shutdown_pool(wait=False)
+        # Back off per the dispatch retry policy (whatever starved or
+        # killed the worker may still be contending) before the retry.
+        dispatch_stats.retried_tasks += len(stranded)
+        _backoff(1, task_digest(tuple(i for i, _ in stranded)))
+        outcomes.extend(_run_one(fn, index, task) for index, task in stranded)
+    return outcomes
+
+
 def run_tasks(
     fn: Callable[[Any], Any],
     tasks: Sequence[Any],
@@ -437,9 +496,10 @@ def run_tasks(
 
     A chunk whose worker exceeds ``task_timeout`` seconds (default
     :data:`DEFAULT_TASK_TIMEOUT`, override via ``$REPRO_TASK_TIMEOUT``;
-    ``<= 0`` disables) is presumed wedged: the executor is abandoned
-    without joining it and the stranded tasks are retried exactly once,
-    serially, in the parent.  Incidents are counted in
+    ``<= 0`` disables) is presumed wedged, and the executor is abandoned
+    without joining it; a chunk whose worker died breaks the executor,
+    which is recycled.  Either way only the stranded tasks are retried,
+    exactly once, serially, in the parent.  Incidents are counted in
     :data:`dispatch_stats` for the run report.
     """
     tasks = list(tasks)
@@ -450,49 +510,10 @@ def run_tasks(
     failures: List[TaskFailure] = []
 
     if not parallel or workers <= 1:
-        outcomes = (_run_one(fn, i, task) for i, task in enumerate(tasks))
+        outcomes = [_run_one(fn, i, task) for i, task in enumerate(tasks)]
     else:
-        chunks = _chunked(list(enumerate(tasks)), workers)
         timeout = _resolve_timeout(task_timeout)
-        try:
-            pool = get_pool(workers)
-            futures = [
-                pool.submit(_run_chunk, fn, chunk) for chunk in chunks
-            ]
-            outcomes = []
-            stranded: List[Tuple[int, Any]] = []
-            parent_stats = runcache.get_cache().stats
-            for future, chunk in zip(futures, chunks):
-                try:
-                    chunk_outcomes, chunk_stats = future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    dispatch_stats.timeouts += 1
-                    stranded.extend(chunk)
-                    continue
-                outcomes.extend(chunk_outcomes)
-                parent_stats.merge(chunk_stats)
-            if stranded:
-                # The worker is wedged, not slow: joining it would wedge
-                # us too.  Abandon the executor (no join), back off per
-                # the dispatch retry policy (the pool's workers may be
-                # contending for whatever starved the first attempt),
-                # then run the stranded tasks once, serially, where they
-                # cannot hang silently.
-                shutdown_pool(wait=False)
-                dispatch_stats.retried_tasks += len(stranded)
-                _backoff(1, task_digest(tuple(i for i, _ in stranded)))
-                outcomes.extend(
-                    _run_one(fn, index, task) for index, task in stranded
-                )
-        except BrokenProcessPool:
-            # A dead worker (OOM-kill etc.) poisons the executor; recycle
-            # it (warm replacement for the next batch), back off, and run
-            # this batch once in-process rather than failing.
-            dispatch_stats.broken_pools += 1
-            if not recycle_if_broken():
-                shutdown_pool()
-            _backoff(1, task_digest(len(tasks)))
-            outcomes = (_run_one(fn, i, task) for i, task in enumerate(tasks))
+        outcomes = _dispatch(fn, tasks, workers, timeout)
 
     for index, value, failure in outcomes:
         if failure is not None:

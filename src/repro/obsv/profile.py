@@ -5,8 +5,8 @@
 ``run_until`` call when off).  The harness points :attr:`label` at the
 controller's current FSM phase before each epoch, so a profiled run
 answers "how much simulation happened while A4 sat in ``expanding`` vs
-``stable``" — the cycle/wall-time attribution ``tools/bench.py
---profile`` prints.
+``stable``".  The figures CLI exports the attribution as
+``repro_profile_*`` gauges with ``--metrics-out``.
 """
 
 from __future__ import annotations

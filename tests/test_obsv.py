@@ -474,13 +474,24 @@ class TestHarnessIntegration:
         # The profiler attributed every epoch window.
         assert sum(s.windows for s in obsv.PROFILER.phases.values()) >= 4
 
-    def test_off_run_is_identical_to_traced_run(self):
+    def test_off_run_is_identical_to_traced_run(self, tmp_path):
+        from repro.obsv.spool import TraceSink
+
         baseline = _small_run()
         obsv.enable()
         traced = _small_run()
+        # The service-worker configuration: a context plus a spooling sink.
+        sink = TraceSink(tmp_path / "spool")
+        obsv.enable(
+            context=obsv.TraceContext(run_id="r", job_id=1, attempt=1),
+            sink=sink,
+        )
+        spooled = _small_run()
+        sink.close()
         obsv.disable()
         again = _small_run()
         assert traced.samples == baseline.samples
+        assert spooled.samples == baseline.samples
         assert again.samples == baseline.samples
 
 

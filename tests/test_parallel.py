@@ -1,14 +1,9 @@
-"""Tests for the process-pool sweep runner and the bench harness smoke.
+"""Tests for the process-pool sweep runner.
 
 The equivalence tests force ``parallel=True`` with an explicit
 ``max_workers`` so the pool path is exercised even on single-CPU hosts
 (where callers would normally fall back to serial).
 """
-
-import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -24,8 +19,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweep import average_figure, run_repeated
 from repro.workloads.xmem import xmem
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def build(seed):
@@ -178,35 +171,6 @@ def test_task_descriptors_pickle():
     assert pickle.loads(pickle.dumps(fig_task)) == fig_task
 
 
-# -- bench harness smoke ---------------------------------------------------
-
-
-def test_bench_quick_emits_valid_record(tmp_path):
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "tools" / "bench.py"),
-            "--quick",
-            "--no-compare",
-            "--out",
-            str(out),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        cwd=REPO_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    record = json.loads(out.read_text())
-    assert record["schema"] == 1
-    assert record["quick"] is True
-    assert record["results"], "no benchmarks ran"
-    for name, entry in record["results"].items():
-        assert entry["wall_s"] > 0, name
-        assert entry["events_per_s"] > 0, name
-
-
 # -- dispatch hardening ----------------------------------------------------
 
 
@@ -323,6 +287,45 @@ def test_broken_pool_is_recycled_and_batch_recovers(monkeypatch):
     assert run_tasks(
         _fail_on_negative, [3, 4], parallel=True, max_workers=2
     ) == [6, 8]
+
+
+def _pid_or_die_if_pooled(task):
+    """Task 0 reports the pid it ran in; task 1, in a pool worker, waits
+    for task 0's chunk to come back and then SIGKILLs its worker."""
+    import os
+    import signal
+    import time
+
+    index, parent_pid = task
+    if index == 1 and os.getpid() != parent_pid:
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return os.getpid()
+
+
+def test_broken_pool_retries_only_the_stranded_chunk(monkeypatch):
+    import os
+
+    from repro.experiments import parallel as par
+    from repro.service.retry import RetryPolicy
+
+    monkeypatch.setattr(
+        par,
+        "DISPATCH_RETRY_POLICY",
+        RetryPolicy(base_delay=0.01, max_delay=0.01),
+    )
+    par.dispatch_stats.reset()
+    parent = os.getpid()
+    results = run_tasks(
+        _pid_or_die_if_pooled,
+        [(0, parent), (1, parent)],
+        parallel=True,
+        max_workers=2,
+    )
+    assert results[0] != parent  # chunk 0's pooled outcome was kept
+    assert results[1] == parent  # only the dead worker's task re-ran here
+    assert par.dispatch_stats.retried_tasks == 1
+    assert par.dispatch_stats.broken_pools == 1
 
 
 def test_recycle_if_broken_is_a_noop_on_healthy_pools():

@@ -4,11 +4,13 @@ import pytest
 
 from repro.experiments.harness import Server
 from repro.experiments.sweep import (
+    DEFAULT_SWEEP_PLATFORMS,
     MetricStats,
     average_figure,
     mean,
     run_repeated,
     stdev,
+    sweep_platforms,
 )
 from repro.workloads.xmem import xmem
 
@@ -63,3 +65,8 @@ def test_average_figure_averages_numeric_cells():
     assert len(averaged.rows) == 4
     assert isinstance(averaged.rows[0]["xmem_miss"], float)
     assert isinstance(averaged.rows[0]["fio_ways"], str)
+
+
+def test_sweep_platforms_yields_one_cell_per_preset():
+    results = sweep_platforms(["fig3a"], epochs=3, positions=[(0, 1)])
+    assert list(results) == [("fig3a", p) for p in DEFAULT_SWEEP_PLATFORMS]
