@@ -10,6 +10,9 @@ Also exports the per-epoch CSV trace for plotting.
 Run:  python examples/daemon_interference.py
 """
 
+import os
+import tempfile
+
 from repro.experiments.scenarios import build_server, daemon_interference_workloads
 from repro.telemetry import trace
 
@@ -39,7 +42,9 @@ def main() -> None:
             csv_text = trace.to_csv(
                 result.samples, metrics=("ipc", "llc_hit_rate", "mlc_miss_rate")
             )
-            path = "/tmp/daemon_interference_trace.csv"
+            path = os.path.join(
+                tempfile.gettempdir(), "daemon_interference_trace.csv"
+            )
             with open(path, "w") as handle:
                 handle.write(csv_text)
             print(f"\nper-epoch trace written to {path} "

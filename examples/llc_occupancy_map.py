@@ -44,11 +44,8 @@ def main() -> None:
     print(f"scheme: {scheme}")
     print("legend: " + "  ".join(f"{g}={n}" for n, g in glyph.items()))
     print("ways:   " + " ".join(f"{w:>3}" for w in range(server.platform.llc_ways)))
-    for epoch in range(EPOCHS):
-        server.sim.run_until(server.sim.now + server.epoch_cycles)
-        sample = server.pcm.sample(server.sim.now)
-        if server.manager is not None:
-            server.manager.on_epoch(sample)
+
+    def show_epoch(server, sample):
         owners = dominant_stream_per_way(server)
         cells = []
         for way in range(server.platform.llc_ways):
@@ -60,7 +57,10 @@ def main() -> None:
             lp = server.manager.layout.lp_span()
             ants = ",".join(sorted(server.manager.antagonists)) or "-"
             note = f"  LPZ way[{lp[0]}:{lp[1]}] antagonists: {ants}"
+        epoch = server.epochs_completed - 1
         print(f"e{epoch:>3}:   " + " ".join(cells) + note)
+
+    server.run(epochs=EPOCHS, warmup=0, epoch_hook=show_epoch)
 
     print("\n(each cell: dominant workload glyph + occupancy 0-9 tenths)")
 

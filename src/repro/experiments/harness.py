@@ -224,8 +224,6 @@ class Server:
         faults = self.faults
         tracer = obsv.TRACER
         profiler = obsv.PROFILER
-        if profiler is not None:
-            self.sim.profiler = profiler
         epoch_hist = None
         progress = None
         if tracer is not None:
@@ -268,19 +266,28 @@ class Server:
         if tracer is not None:
             tracer.epoch = i
             tracer.now = self.sim.now
-        if profiler is not None:
-            profiler.label = (
-                getattr(self.manager, "phase", None) or "epoch"
-            )
+        # The profiler attributes each epoch's engine window to the phase
+        # the controller was in when the epoch began.
+        phase = getattr(self.manager, "phase", None) or "epoch"
         if faults is not None:
             # Device chaos is armed before the epoch simulates; delayed
             # CAT commits mature at the boundary, before the manager
             # acts on it; the manager sees the (possibly corrupted)
             # fault view while ``samples`` keeps the true reading.
             faults.epoch_chaos(self)
-        wall_started = perf_counter() if tracer is not None else 0.0
-        self.sim.run_until(self.sim.now + self.epoch_cycles)
-        sample = self.pcm.sample(self.sim.now)
+        sim = self.sim
+        events_before = sim.events_executed
+        now_before = sim.now
+        wall_started = perf_counter()
+        sim.run_until(now_before + self.epoch_cycles)
+        if profiler is not None:
+            profiler.record(
+                phase,
+                perf_counter() - wall_started,
+                sim.events_executed - events_before,
+                sim.now - now_before,
+            )
+        sample = self.pcm.sample(sim.now)
         if tracer is not None:
             wall = perf_counter() - wall_started
             tracer.now = self.sim.now

@@ -27,8 +27,9 @@ Design constraints, in order of importance:
 * **Warm pools.**  The executor is module-level and reused across batches
   (multi-figure ``--jobs`` runs previously paid pool startup per batch).
   Workers are warmed by an initializer that imports the experiment stack
-  and inherits the parent's run-cache settings; dispatch is chunked so a
-  large batch costs ``O(workers)`` round-trips, not ``O(tasks)``.
+  and inherits the parent's run-cache settings.  Each task is its own
+  future, so a worker death or timeout strands only the tasks that had
+  not finished, and free workers pick up the next task as they go.
 """
 
 from __future__ import annotations
@@ -226,18 +227,16 @@ def _run_one(
         )
 
 
-def _run_chunk(
-    fn: Callable[[Any], Any], chunk: Sequence[Tuple[int, Any]]
-) -> Tuple[List[Tuple[int, Any, Optional[TaskFailure]]], runcache.CacheStats]:
-    """Worker side of chunked dispatch: run a slice of the batch.
-
-    Also returns the worker's cache-stats delta for this chunk so the
-    parent's hit/miss report covers pool-side lookups."""
+def _run_pooled(
+    fn: Callable[[Any], Any], index: int, task: Any
+) -> Tuple[Tuple[int, Any, Optional[TaskFailure]], runcache.CacheStats]:
+    """Worker side of pool dispatch: :func:`_run_one` plus the worker's
+    cache-stats delta for this task, so the parent's hit/miss report
+    covers pool-side lookups."""
     stats = runcache.get_cache().stats
     before = counts_of(stats)
-    outcomes = [_run_one(fn, index, task) for index, task in chunk]
-    delta = runcache.CacheStats(**diff_counts(stats, before))
-    return outcomes, delta
+    outcome = _run_one(fn, index, task)
+    return outcome, runcache.CacheStats(**diff_counts(stats, before))
 
 
 # -- the warm pool ---------------------------------------------------------
@@ -328,9 +327,9 @@ atexit.register(shutdown_pool)
 
 ENV_TASK_TIMEOUT = "REPRO_TASK_TIMEOUT"
 DEFAULT_TASK_TIMEOUT = 600.0
-"""Per-chunk dispatch timeout (seconds).  Generous: a chunk is tens of
-simulation runs; the timeout exists to catch a *wedged* worker (deadlocked
-fork, livelocked import), not a slow one."""
+"""Per-task dispatch timeout (seconds), counted from when the parent
+starts waiting on the task.  Generous: the timeout exists to catch a
+*wedged* worker (deadlocked fork, livelocked import), not a slow one."""
 
 
 @dataclass
@@ -338,7 +337,7 @@ class DispatchStats:
     """Pool-dispatch incidents, surfaced in the figures CLI run report."""
 
     timeouts: int = 0
-    """Chunks whose worker missed the dispatch timeout."""
+    """Tasks whose worker missed the dispatch timeout."""
     retried_tasks: int = 0
     """Tasks re-run serially in-parent after a timeout or a dead worker."""
     broken_pools: int = 0
@@ -388,7 +387,7 @@ def _backoff(attempt: int, token: str) -> None:
 
 
 def _resolve_timeout(task_timeout: Optional[float]) -> Optional[float]:
-    """Effective per-chunk timeout: explicit arg, else ``$REPRO_TASK_TIMEOUT``,
+    """Effective per-task timeout: explicit arg, else ``$REPRO_TASK_TIMEOUT``,
     else the default; ``0`` or negative disables the timeout entirely."""
     if task_timeout is None:
         raw = os.environ.get(ENV_TASK_TIMEOUT, "").strip()
@@ -405,19 +404,6 @@ def resolve_workers(n_tasks: int, max_workers: Optional[int] = None) -> int:
     return max(1, min(n_tasks, limit))
 
 
-def _chunked(items: Sequence[Any], n_chunks: int) -> List[List[Any]]:
-    """Split ``items`` into at most ``n_chunks`` contiguous, near-even runs."""
-    n_chunks = max(1, min(n_chunks, len(items)))
-    size, extra = divmod(len(items), n_chunks)
-    chunks: List[List[Any]] = []
-    start = 0
-    for c in range(n_chunks):
-        end = start + size + (1 if c < extra else 0)
-        chunks.append(list(items[start:end]))
-        start = end
-    return chunks
-
-
 Outcome = Tuple[int, Any, Optional[TaskFailure]]
 
 
@@ -427,38 +413,40 @@ def _dispatch(
     workers: int,
     timeout: Optional[float],
 ) -> List[Outcome]:
-    """Pool side of :func:`run_tasks`: one contiguous chunk per worker.
+    """Pool side of :func:`run_tasks`: one future per task.
 
-    A chunk is *stranded* when its worker misses ``timeout`` (presumed
-    wedged) or dies (which breaks the executor).  Chunks that finished
-    keep their outcomes and cache stats; only the stranded tasks run
-    again, once, serially, in this process, where they can neither hang
-    nor crash silently."""
+    A task is *stranded* when its worker misses ``timeout`` (presumed
+    wedged) or dies (which breaks the executor and every future still
+    pending).  Tasks that finished keep their outcomes and cache stats;
+    only the stranded ones run again, once, serially, in this process,
+    where they can neither hang nor crash silently."""
     outcomes: List[Outcome] = []
     stranded: List[Tuple[int, Any]] = []
     broken = False
     parent_stats = runcache.get_cache().stats
     pool = get_pool(workers)
     submitted = []
-    for chunk in _chunked(list(enumerate(tasks)), workers):
+    for index, task in enumerate(tasks):
         try:
-            submitted.append((pool.submit(_run_chunk, fn, chunk), chunk))
+            future = pool.submit(_run_pooled, fn, index, task)
         except BrokenProcessPool:
             broken = True
-            stranded.extend(chunk)
-    for future, chunk in submitted:
+            stranded.append((index, task))
+            continue
+        submitted.append((future, index, task))
+    for future, index, task in submitted:
         try:
-            chunk_outcomes, chunk_stats = future.result(timeout=timeout)
+            outcome, task_stats = future.result(timeout=timeout)
         except FutureTimeoutError:
             dispatch_stats.timeouts += 1
-            stranded.extend(chunk)
+            stranded.append((index, task))
             continue
         except BrokenProcessPool:
             broken = True
-            stranded.extend(chunk)
+            stranded.append((index, task))
             continue
-        outcomes.extend(chunk_outcomes)
-        parent_stats.merge(chunk_stats)
+        outcomes.append(outcome)
+        parent_stats.merge(task_stats)
     if stranded:
         if broken:
             # A dead worker (OOM-kill etc.) poisons the executor: replace
@@ -488,18 +476,18 @@ def run_tasks(
     """Run ``fn(task)`` for every task; results come back in task order.
 
     With ``parallel=True`` and more than one effective worker the tasks
-    run across the shared warm :class:`ProcessPoolExecutor` (chunked: each
-    worker receives one contiguous slice of the batch); otherwise they run
-    serially in this process.  Either way every task is attempted, and if
-    any failed a :class:`ParallelExecutionError` aggregating all failures
-    is raised after the batch completes.
+    run across the shared warm :class:`ProcessPoolExecutor`, one future
+    per task; otherwise they run serially in this process.  Either way
+    every task is attempted, and if any failed a
+    :class:`ParallelExecutionError` aggregating all failures is raised
+    after the batch completes.
 
-    A chunk whose worker exceeds ``task_timeout`` seconds (default
+    A task whose worker exceeds ``task_timeout`` seconds (default
     :data:`DEFAULT_TASK_TIMEOUT`, override via ``$REPRO_TASK_TIMEOUT``;
     ``<= 0`` disables) is presumed wedged, and the executor is abandoned
-    without joining it; a chunk whose worker died breaks the executor,
-    which is recycled.  Either way only the stranded tasks are retried,
-    exactly once, serially, in the parent.  Incidents are counted in
+    without joining it; a worker death breaks the executor, which is
+    recycled.  Either way only the stranded tasks are retried, exactly
+    once, serially, in the parent.  Incidents are counted in
     :data:`dispatch_stats` for the run report.
     """
     tasks = list(tasks)

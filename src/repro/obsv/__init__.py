@@ -20,7 +20,7 @@ and **off by default**:
   passive until someone observes into it) and also hosts the shared
   stats-dict merge helpers used by the run cache and the chaos sweep.
 * :data:`PROFILER` — per-phase wall/cycle/event attribution recorded by
-  :meth:`repro.sim.engine.Simulator.run_until` (see
+  :meth:`repro.experiments.harness.Server.run` once per epoch (see
   :mod:`repro.obsv.profile`).
 
 Every emit site in the simulator, controller, and fault layer is guarded
@@ -74,7 +74,7 @@ AUDIT: Optional[AuditTrail] = None
 """The process-wide decision audit trail; ``None`` while off."""
 
 PROFILER: Optional[PhaseProfiler] = None
-"""The process-wide engine profiler; ``None`` while off."""
+"""The process-wide per-phase profiler; ``None`` while off."""
 
 
 def enable(

@@ -28,6 +28,16 @@ MAX_CBM_BITS = 32
 32 bits wide on every part we model); caps ``llc_ways``."""
 
 
+def stamp_sha(payload: Dict[str, object]) -> Dict[str, object]:
+    """Add ``payload["sha"]``: the first 12 hex digits of the SHA-256 of
+    ``payload``'s canonical JSON (sorted keys, tuples as lists, no
+    whitespace).  The one content hash behind every spec's ``token``."""
+    blob = json.dumps(payload, sort_keys=True, default=list,
+                      separators=(",", ":"))
+    payload["sha"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return payload
+
+
 @dataclass(frozen=True)
 class PlatformSpec:
     """One microarchitecture: LLC/MLC geometry, way roles, timing, I/O rates.
@@ -181,11 +191,7 @@ class PlatformSpec:
         Folded into run-cache keys and obsv trace/audit headers so each
         artifact records which microarchitecture produced it.
         """
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        blob = json.dumps(payload, sort_keys=True, default=list,
-                          separators=(",", ":"))
-        payload["sha"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
-        return payload
+        return stamp_sha({f.name: getattr(self, f.name) for f in fields(self)})
 
     @property
     def token(self) -> str:

@@ -9,6 +9,11 @@ Two styles of actors are supported:
   computes how long an action takes (e.g. a memory access under contention)
   and the process simply yields that cost.
 
+Time moves only through :meth:`Simulator.run_until`, the engine's one
+dispatch loop, and :meth:`Simulator.fast_forward`, which shifts the clock
+without executing anything.  The harness calls ``run_until`` once per
+monitoring epoch.
+
 The clock is an integer-friendly float.  Determinism is guaranteed by a
 monotonically increasing sequence number used as a heap tie-breaker.
 
@@ -18,7 +23,7 @@ Pending events live in a two-tier bucket queue:
   process resume, so the near future — ``WHEEL_SLOTS`` buckets of
   ``WHEEL_GRAIN`` cycles each, anchored at ``_base`` — is kept in a bucket
   array.  Future buckets are unsorted append-only lists; a bucket is sorted
-  once when the run loop reaches it and then consumed through an index
+  once when the dispatch loop reaches it and then consumed through an index
   pointer, so the steady state replaces heap sifts with ``list.append``,
   one amortized ``sort`` of a short nearly-sorted run, and plain indexing.
   Inserts that land in the *current* bucket use ``bisect.insort`` bounded
@@ -37,7 +42,7 @@ C-level list comparison on the unique ``(time, seq)`` prefix — the
 ``action`` slot is never compared.  Cancellation nulls the action slot in
 place; :class:`Event` is a thin handle over the queued entry.  Process
 resumes take a fast path: their entries are ``[time, seq, body, process]``
-(the generator itself in the action slot), the run loops resume the
+(the generator itself in the action slot), the dispatch loop resumes the
 generator inline — no per-event trampoline frame — and the popped entry
 list is reused for the re-schedule, so steady-state process execution
 allocates nothing.
@@ -53,7 +58,6 @@ from __future__ import annotations
 import itertools
 from bisect import insort
 from heapq import heappop, heappush
-from time import perf_counter as _perf_counter
 from typing import Callable, Generator, Iterable, Optional
 
 ProcessBody = Generator[float, None, None]
@@ -142,24 +146,6 @@ class Process:
         self.name, self.finished, self._finish_callbacks = state
         self._body = None
 
-    def _step(self, sim: "Simulator") -> None:
-        """Resume the process once (slow path; the engine's run loops resume
-        process entries inline instead of calling this)."""
-        if self.finished:
-            return
-        try:
-            delay = next(self._body)
-        except StopIteration:
-            self.finished = True
-            for callback in self._finish_callbacks:
-                callback(sim)
-            return
-        if delay < 0:
-            raise ValueError(
-                f"process {self.name!r} yielded negative delay {delay!r}"
-            )
-        sim._push([sim.now + delay, next(sim._seq), self._body, self])
-
 
 class Simulator:
     """The event loop.
@@ -186,7 +172,6 @@ class Simulator:
         "_far",
         "_running",
         "_factories",
-        "profiler",
     )
 
     def __init__(self) -> None:
@@ -196,11 +181,6 @@ class Simulator:
         self.events_executed: int = 0
         """Cumulative count of fired (non-cancelled) events; the perf
         harness divides this by wall time for simulated-events/second."""
-        self.profiler = None
-        """Optional :class:`repro.obsv.profile.PhaseProfiler`.  When set,
-        each ``run_until`` window records (wall seconds, events, cycles)
-        under the profiler's current label; when ``None`` (the default)
-        the only cost is one attribute check per ``run_until`` call."""
         self._factories: dict = {}
         """``name -> (owner, method, args)`` for restartable processes;
         the snapshot protocol rebuilds their generators from these."""
@@ -284,10 +264,6 @@ class Simulator:
         self._push(entry)
         return Event(entry)
 
-    def call_in(self, delay: float, action: Callable[["Simulator"], None]) -> Event:
-        """Schedule ``action`` ``delay`` cycles from now."""
-        return self.schedule(self.now + delay, action)
-
     def spawn(
         self, name: str, body: ProcessBody, start_at: Optional[float] = None
     ) -> Process:
@@ -327,23 +303,6 @@ class Simulator:
         body = getattr(owner, method)(*args)
         return self.spawn(name, body, start_at=start_at)
 
-    def every(
-        self,
-        interval: float,
-        action: Callable[["Simulator"], None],
-        start_at: Optional[float] = None,
-    ) -> None:
-        """Run ``action`` periodically, forever (bounded by ``run_until``)."""
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        first = self.now + interval if start_at is None else start_at
-
-        def tick(sim: "Simulator") -> None:
-            action(sim)
-            sim.schedule(sim.now + interval, tick)
-
-        self.schedule(first, tick)
-
     # -- execution --------------------------------------------------------
 
     def _resume_process(self, entry: list) -> None:
@@ -365,124 +324,10 @@ class Simulator:
         entry[_SEQ] = next(self._seq)
         self._push(entry)
 
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when idle.
-
-        ``_wheel_len`` accounting is deferred: on the hot path — a process
-        resume whose re-schedule lands back in the wheel — the pop and push
-        cancel, so the counter is only touched on the rare exits
-        (cancelled entry, finished process, far-heap push, callback).
-        """
-        buckets = self._buckets
-        while True:
-            # Inlined bucket pop (the same walk run_until batches).
-            if self._wheel_len:
-                pos = self._pos
-                bucket = buckets[pos]
-                bptr = self._bptr
-                if bptr >= len(bucket):
-                    bucket.clear()
-                    pos += 1
-                    bucket = buckets[pos]
-                    while not bucket:
-                        pos += 1
-                        bucket = buckets[pos]
-                    if len(bucket) > 1:
-                        bucket.sort()
-                    self._pos = pos
-                    self._pos_end = self._base + (pos + 1) * WHEEL_GRAIN
-                    bptr = 0
-                entry = bucket[bptr]
-                self._bptr = bptr + 1
-                action = entry[_ACTION]
-                if action is None:
-                    self._wheel_len -= 1
-                    continue
-                self.now = entry[_TIME]
-                self.events_executed += 1
-                if len(entry) == 4:
-                    # Inlined process resume + re-schedule.
-                    try:
-                        delay = next(action)
-                    except StopIteration:
-                        self._wheel_len -= 1
-                        process = entry[3]
-                        process.finished = True
-                        for callback in process._finish_callbacks:
-                            callback(self)
-                        return True
-                    if delay < 0:
-                        raise ValueError(
-                            f"process {entry[3].name!r} yielded negative "
-                            f"delay {delay!r}"
-                        )
-                    when = self.now + delay
-                    entry[_TIME] = when
-                    entry[_SEQ] = next(self._seq)
-                    if when < self._pos_end:
-                        # Same-bucket re-schedule: one compare, no index math.
-                        insort(bucket, entry, bptr)
-                        # pop + wheel push cancel out: _wheel_len unchanged
-                    elif when < self._limit:
-                        idx = int((when - self._base) * _INV_GRAIN)
-                        if idx > _LAST_SLOT:
-                            idx = _LAST_SLOT
-                        if idx == pos:  # boundary rounding can disagree
-                            insort(bucket, entry, bptr)
-                        else:
-                            buckets[idx].append(entry)
-                    else:
-                        self._wheel_len -= 1
-                        heappush(self._far, entry)
-                else:
-                    self._wheel_len -= 1
-                    action(self)
-                return True
-            # Wheel empty: fall back to the far heap.
-            if not self._far:
-                return False
-            self._rebase()
-            if self._wheel_len:
-                continue
-            entry = heappop(self._far)  # isolated event beyond the span
-            action = entry[_ACTION]
-            if action is None:
-                continue
-            self.now = entry[_TIME]
-            self.events_executed += 1
-            if len(entry) == 4:
-                self._resume_process(entry)
-            else:
-                action(self)
-            return True
-
     def run_until(self, end_time: float) -> None:
         """Run events with time <= ``end_time`` and advance the clock there.
 
-        With a :attr:`profiler` attached, the window's wall time, executed
-        events, and simulated cycles are attributed to the profiler's
-        current label (recorded even if the run raises, so a crashing
-        window still shows up in the attribution)."""
-        profiler = self.profiler
-        if profiler is None:
-            return self._run_until(end_time)
-        started = _perf_counter()
-        events_before = self.events_executed
-        now_before = self.now
-        try:
-            self._run_until(end_time)
-        finally:
-            profiler.record(
-                profiler.label,
-                _perf_counter() - started,
-                self.events_executed - events_before,
-                self.now - now_before,
-            )
-
-    def _run_until(self, end_time: float) -> None:
-        """The ``run_until`` hot loop (no profiling).
-
-        The loop consumes the wheel bucket by bucket with the cursor state
+        This is the engine's one dispatch loop.  It consumes the wheel bucket by bucket with the cursor state
         mirrored in locals; ``_bptr`` is committed before every action so
         nested ``schedule``/``spawn``/``cancel`` calls observe a consistent
         queue, and pop counts are flushed to ``_wheel_len`` at every bucket
@@ -613,13 +458,6 @@ class Simulator:
         if self.now < end_time:
             self.now = end_time
 
-    def run(self, max_events: int = 10_000_000) -> None:
-        """Drain the queue entirely (with a runaway guard)."""
-        for _ in range(max_events):
-            if not self.step():
-                return
-        raise RuntimeError("simulation exceeded max_events; likely a livelock")
-
     def _live_entries(self) -> list:
         """Every live (non-cancelled) queued entry — the consumed prefix of
         the current bucket, all future buckets, *and* the far heap beyond
@@ -670,8 +508,8 @@ class Simulator:
         """Snapshot: queue state with pending entries reduced to
         ``(time, seq, process name)`` descriptors.
 
-        Non-restartable pending work (raw callbacks, ``every`` timers,
-        plain ``spawn`` processes) raises :class:`SnapshotError` — their
+        Non-restartable pending work (raw ``schedule`` callbacks, plain
+        ``spawn`` processes) raises :class:`SnapshotError` — their
         suspended frames cannot be rebuilt.  Building the state perturbs
         nothing, so a checkpointing run stays bit-identical to one that
         never snapshots."""
@@ -706,7 +544,6 @@ class Simulator:
         self.events_executed = state["events_executed"]
         self.processes = state["processes"]
         self._factories = state["factories"]
-        self.profiler = None
         self._running = False
         self._init_wheel(self.now)
         by_name = {p.name: p for p in self.processes}

@@ -22,16 +22,16 @@ the **canonical two-tenant set** — the paper's fixed workload lists seen
 through the tenancy lens, bit-identical by construction.
 
 This module sits below the workload layer (no repro imports except
-telemetry constants) so every layer can use it without cycles.
+telemetry constants and the platform's spec hash) so every layer can use
+it without cycles.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.platform import stamp_sha
 from repro.telemetry.pcm import PRIORITY_HIGH, PRIORITY_LOW
 
 CLASS_LATENCY_CRITICAL = "latency-critical"
@@ -159,11 +159,7 @@ class TenantSpec:
     def fingerprint(self) -> Dict[str, object]:
         """Stable identity dict: every field plus a short content hash
         (the shape :class:`~repro.platform.PlatformSpec` established)."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        blob = json.dumps(payload, sort_keys=True, default=list,
-                          separators=(",", ":"))
-        payload["sha"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
-        return payload
+        return stamp_sha({f.name: getattr(self, f.name) for f in fields(self)})
 
     @property
     def token(self) -> str:
@@ -262,13 +258,7 @@ class TenantSet:
 
     def fingerprint(self) -> Dict[str, object]:
         """Stable identity for run-cache keys and trace headers."""
-        payload = {
-            "tenants": [t.fingerprint() for t in self._tenants],
-        }
-        blob = json.dumps(payload, sort_keys=True, default=list,
-                          separators=(",", ":"))
-        payload["sha"] = hashlib.sha256(blob.encode()).hexdigest()[:12]
-        return payload
+        return stamp_sha({"tenants": [t.fingerprint() for t in self._tenants]})
 
     @property
     def token(self) -> str:

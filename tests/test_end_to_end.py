@@ -16,6 +16,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -199,6 +201,23 @@ def test_cli(tool, argv):
     safety property fails."""
     main = experiments_main if tool == "experiments" else _load_tool(tool).main
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in (ROOT / "examples").glob("*.py"))
+)
+def test_example_runs(script, tmp_path):
+    """Every ``examples/*.py`` script runs to completion as a user would
+    start it; files it writes land in ``tmp_path``."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_figures_cli_checkpoint_resume(tmp_path, monkeypatch, capsys):

@@ -355,10 +355,7 @@ class TestProfiler:
         profiler.record("expanding", 0.3, 50, 500.0)
         assert profiler.phases["stable"].windows == 2
         assert profiler.phases["stable"].events == 200
-        assert profiler.total_wall == pytest.approx(0.5)
-        table = profiler.table()
-        # Widest wall share first.
-        assert table.index("expanding") < table.index("stable")
+        assert profiler.phases["expanding"].cycles == pytest.approx(500.0)
 
     def test_into_registry(self):
         profiler = PhaseProfiler()
@@ -368,17 +365,32 @@ class TestProfiler:
         names = {(n, dict(l).get("phase")) for n, l, _ in registry.items()}
         assert ("repro_profile_wall_seconds", "stable") in names
 
-    def test_engine_records_only_when_attached(self):
-        from repro.sim.engine import Simulator
-
-        sim = Simulator()
-        sim.run_until(100.0)  # profiler off: plain delegation
-        profiler = PhaseProfiler()
-        profiler.label = "warm"
-        sim.profiler = profiler
-        sim.run_until(200.0)
-        assert profiler.phases["warm"].windows == 1
-        assert profiler.phases["warm"].cycles == pytest.approx(100.0)
+    def test_server_run_records_one_window_per_epoch_only_when_on(self):
+        obsv.enable()
+        profiler = obsv.PROFILER
+        server = _small_server()
+        # Each window is labelled with the phase the epoch began in: the
+        # phase after attach, then the phase each epoch's decision left.
+        began = [server.manager.phase]
+        result = server.run(
+            epochs=6, warmup=1, epoch_hook=lambda srv, _: began.append(srv.manager.phase)
+        )
+        expected = {}
+        for phase in began[:-1]:
+            expected[phase] = expected.get(phase, 0) + 1
+        assert {p: s.windows for p, s in profiler.phases.items()} == expected
+        assert len(expected) > 1  # the run crossed a phase change
+        assert sum(s.events for s in profiler.phases.values()) == (
+            server.sim.events_executed
+        )
+        assert sum(s.cycles for s in profiler.phases.values()) == (
+            pytest.approx(server.sim.now)
+        )
+        assert len(result.samples) == 6
+        # Off: a later run records nothing, not even into a stale profiler.
+        obsv.disable()
+        _small_run(epochs=2)
+        assert sum(s.windows for s in profiler.phases.values()) == 6
 
 
 # -- A4 controller integration ----------------------------------------------
@@ -444,7 +456,7 @@ class TestA4Audit:
 # -- harness integration & zero-cost-off ------------------------------------
 
 
-def _small_run(epochs: int = 4):
+def _small_server():
     from repro.core.a4 import A4Manager
     from repro.core.policy import A4Policy
     from repro.experiments.harness import Server
@@ -454,7 +466,11 @@ def _small_run(epochs: int = 4):
     server.add_workload(xmem("a", 1.0, cores=1))
     server.add_workload(xmem("b", 2.0, cores=1))
     server.set_manager(A4Manager(A4Policy()))
-    return server.run(epochs=epochs, warmup=1)
+    return server
+
+
+def _small_run(epochs: int = 4):
+    return _small_server().run(epochs=epochs, warmup=1)
 
 
 class TestHarnessIntegration:

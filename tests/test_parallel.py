@@ -328,6 +328,35 @@ def test_broken_pool_retries_only_the_stranded_chunk(monkeypatch):
     assert par.dispatch_stats.broken_pools == 1
 
 
+def test_finished_task_keeps_its_outcome_when_a_sibling_worker_dies(
+    monkeypatch,
+):
+    import os
+
+    from repro.experiments import parallel as par
+    from repro.service.retry import RetryPolicy
+
+    monkeypatch.setattr(
+        par,
+        "DISPATCH_RETRY_POLICY",
+        RetryPolicy(base_delay=0.01, max_delay=0.01),
+    )
+    par.dispatch_stats.reset()
+    parent = os.getpid()
+    # Three tasks on two workers: task 0 finishes in the pool before
+    # task 1 kills its worker, so only task 1 may re-run in the parent.
+    results = run_tasks(
+        _pid_or_die_if_pooled,
+        [(0, parent), (1, parent), (2, parent)],
+        parallel=True,
+        max_workers=2,
+    )
+    assert results[0] != parent
+    assert results[1] == parent
+    assert par.dispatch_stats.retried_tasks == 1
+    assert par.dispatch_stats.broken_pools == 1
+
+
 def test_recycle_if_broken_is_a_noop_on_healthy_pools():
     from repro.experiments import parallel as par
 

@@ -12,6 +12,7 @@ from repro.platform import (
     custom,
     get_platform,
 )
+from repro.tenancy import canonical_pair
 
 
 # -- validation -------------------------------------------------------------
@@ -97,6 +98,22 @@ def test_custom_builder_and_fingerprint_identity():
     assert spec.fingerprint()["sha"] != SKYLAKE_SP.fingerprint()["sha"]
     assert SKYLAKE_SP.fingerprint()["sha"] == SKYLAKE_SP.fingerprint()["sha"]
     assert "@" in spec.token
+
+
+@pytest.mark.parametrize(
+    "spec, token",
+    [
+        (get_platform("skylake-sp"), "skylake-sp@a1f752ee1d3a"),
+        (get_platform("cascadelake-sp"), "cascadelake-sp@21c3e35e3b3b"),
+        (get_platform("icelake-sp"), "icelake-sp@00f42b8d568c"),
+        (canonical_pair(), "2t@10a2fb73e76c"),
+    ],
+    ids=["skylake-sp", "cascadelake-sp", "icelake-sp", "canonical-pair"],
+)
+def test_spec_tokens_are_pinned(spec, token):
+    # The content hash keys run-cache entries and trace headers; a changed
+    # token silently orphans every cached run.
+    assert spec.token == token
 
 
 # -- two specs in one process ----------------------------------------------

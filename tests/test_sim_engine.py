@@ -11,7 +11,7 @@ def test_schedule_runs_in_time_order():
     sim.schedule(5.0, lambda s: order.append("b"))
     sim.schedule(1.0, lambda s: order.append("a"))
     sim.schedule(9.0, lambda s: order.append("c"))
-    sim.run()
+    sim.run_until(9.0)
     assert order == ["a", "b", "c"]
     assert sim.now == 9.0
 
@@ -21,14 +21,14 @@ def test_same_time_events_run_in_schedule_order():
     order = []
     for tag in "abc":
         sim.schedule(3.0, lambda s, t=tag: order.append(t))
-    sim.run()
+    sim.run_until(3.0)
     assert order == ["a", "b", "c"]
 
 
 def test_cannot_schedule_into_the_past():
     sim = Simulator()
     sim.schedule(10.0, lambda s: None)
-    sim.run()
+    sim.run_until(10.0)
     with pytest.raises(ValueError):
         sim.schedule(5.0, lambda s: None)
 
@@ -38,8 +38,9 @@ def test_cancelled_event_does_not_fire():
     fired = []
     event = sim.schedule(1.0, lambda s: fired.append(1))
     event.cancel()
-    sim.run()
+    sim.run_until(10.0)
     assert fired == []
+    assert list(sim.pending()) == []
 
 
 def test_run_until_stops_at_boundary():
@@ -64,7 +65,7 @@ def test_process_yields_delays():
             yield 10.0
 
     sim.spawn("p", body())
-    sim.run()
+    sim.run_until(100.0)
     assert ticks == [0.0, 10.0, 20.0]
 
 
@@ -76,7 +77,7 @@ def test_process_negative_delay_raises():
 
     sim.spawn("bad", body())
     with pytest.raises(ValueError):
-        sim.run()
+        sim.run_until(10.0)
 
 
 def test_process_finish_callback():
@@ -88,45 +89,18 @@ def test_process_finish_callback():
 
     process = sim.spawn("p", body())
     process.on_finish(lambda s: done.append(s.now))
-    sim.run()
+    sim.run_until(10.0)
     assert process.finished
     assert done == [1.0]
 
 
 def test_call_in_is_relative():
+    """An action schedules relative to the clock it fires at (what the
+    retired ``call_in`` helper wrapped)."""
     sim = Simulator()
     seen = []
-    sim.schedule(7.0, lambda s: s.call_in(3.0, lambda s2: seen.append(s2.now)))
-    sim.run()
+    sim.schedule(
+        7.0, lambda s: s.schedule(s.now + 3.0, lambda s2: seen.append(s2.now))
+    )
+    sim.run_until(20.0)
     assert seen == [10.0]
-
-
-def test_every_repeats_until_horizon():
-    sim = Simulator()
-    count = []
-    sim.every(10.0, lambda s: count.append(s.now))
-    sim.run_until(35.0)
-    assert count == [10.0, 20.0, 30.0]
-
-
-def test_every_rejects_nonpositive_interval():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.every(0.0, lambda s: None)
-
-
-def test_run_guard_detects_livelock():
-    sim = Simulator()
-
-    def forever():
-        while True:
-            yield 1.0
-
-    sim.spawn("loop", forever())
-    with pytest.raises(RuntimeError):
-        sim.run(max_events=100)
-
-
-def test_step_returns_false_when_idle():
-    sim = Simulator()
-    assert sim.step() is False
